@@ -13,8 +13,11 @@
 
 use crate::palettize::{GroupedPalettized, PalettizedTensor};
 use crate::uniquify::{self, RowKeys};
-use edkm_autograd::{no_grad, save_tensor, Var};
-use edkm_tensor::{ops as t, DType, Tensor};
+use edkm_autograd::{save_tensor, Var};
+use edkm_tensor::{ops as t, runtime, DType, Device, Tensor};
+use rayon::prelude::*;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Softmax over the last axis whose output storage is annotated with weight
@@ -142,6 +145,275 @@ pub struct DkmOutput {
     pub iterations_run: usize,
 }
 
+/// The detached Lloyd iterations of one weight, computed over its
+/// *distinct* rows.
+///
+/// Rows with equal 16-bit patterns have identical attention rows (the fact
+/// uniquification rests on), so each step computes one softmax row — and
+/// its products `a·w` — per distinct row, then accumulates `Σ a·w` and
+/// `Σ a` over the weight rows in their original order. Every sum therefore
+/// adds the same terms in the same order as the dense `neg_sqdist →
+/// mul_scalar → softmax_lastdim → Aᵀ·W / (ΣA + ε)` chain, and the centroids
+/// are bit-identical to it. The simulated clock is charged the dense chain's
+/// FLOPs: it models the GPU kernels, not this host-side shortcut.
+struct Lloyd<'a> {
+    /// The weight as `[n, d]` rows.
+    w: &'a [f32],
+    /// `[u, d]` distinct rows in first-occurrence order (all `n` rows when
+    /// the weight is not deduplicated).
+    rows: Cow<'a, [f32]>,
+    /// Weight row → distinct row; `None` when rows are not deduplicated.
+    ids: Option<Vec<u32>>,
+    k: usize,
+    d: usize,
+    scale: f32,
+    device: Device,
+    /// Per distinct row, the current step's terms: `[k, d]` products
+    /// `a_j · w`, then the `k` attention values `a_j`.
+    terms: Vec<f32>,
+    /// Per block of `per_block` centroids: their `Σ a·w` rows, then their
+    /// `Σ a` values.
+    acc: Vec<f32>,
+    /// Centroids per accumulation block (one block per worker).
+    per_block: usize,
+}
+
+impl<'a> Lloyd<'a> {
+    /// Lloyd state for `[n, d]` rows `w`, deduplicated by `keys` (one per
+    /// row) when given.
+    fn new(
+        w: &'a [f32],
+        keys: Option<&[u64]>,
+        k: usize,
+        d: usize,
+        scale: f32,
+        device: Device,
+    ) -> Self {
+        let (rows, ids) = match keys {
+            Some(keys) => {
+                let (rows, ids) = distinct_rows(w, keys, d);
+                (Cow::Owned(rows), Some(ids))
+            }
+            None => (Cow::Borrowed(w), None),
+        };
+        let n = w.len() / d;
+        // Split the accumulation by centroid only where the dense kernels
+        // go parallel; a centroid's sums never straddle two workers, so the
+        // result is independent of the thread count.
+        let per_block = if n * k * d >= t::PAR_WORK_THRESHOLD && k > 1 {
+            k.div_ceil(rayon::current_num_threads())
+        } else {
+            k
+        };
+        Lloyd {
+            terms: vec![0.0; rows.len() / d * k * (d + 1)],
+            acc: vec![0.0; k * (d + 1)],
+            w,
+            rows,
+            ids,
+            k,
+            d,
+            scale,
+            device,
+            per_block,
+        }
+    }
+
+    /// One Lloyd update: the centroids `c` attend over the weight and
+    /// `c_new` receives the attention-weighted means.
+    fn step(&mut self, c: &[f32], c_new: &mut [f32]) {
+        let (k, d, scale) = (self.k, self.d, self.scale);
+        let n = self.w.len() / d;
+        charge_dense_step(n, k, d, self.device);
+
+        let rows = &self.rows;
+        let fill = |r: usize, out: &mut [f32]| row_terms(&rows[r * d..(r + 1) * d], c, scale, out);
+        let (u, stride) = (rows.len() / d, k * (d + 1));
+        if u * k * d >= t::PAR_WORK_THRESHOLD && u > 1 {
+            self.terms
+                .par_chunks_mut(stride)
+                .enumerate()
+                .for_each(|(r, out)| fill(r, out));
+        } else {
+            for (r, out) in self.terms.chunks_mut(stride).enumerate() {
+                fill(r, out);
+            }
+        }
+
+        let (terms, ids, per) = (&self.terms, self.ids.as_deref(), self.per_block);
+        if per < k {
+            self.acc
+                .par_chunks_mut(per * (d + 1))
+                .enumerate()
+                .for_each(|(b, block)| accumulate(terms, ids, n, k, d, b * per, block));
+        } else {
+            accumulate(terms, ids, n, k, d, 0, &mut self.acc);
+        }
+
+        for (b, block) in self.acc.chunks(per * (d + 1)).enumerate() {
+            let (num, den) = block.split_at(block.len() / (d + 1) * d);
+            let out = &mut c_new[b * per * d..][..num.len()];
+            for ((o, nj), &dj) in out.chunks_mut(d).zip(num.chunks(d)).zip(den) {
+                // `add_scalar(ΣA, 1e-8)` then `div`, as the dense chain does.
+                let den = dj + 1e-8;
+                for (o, &v) in o.iter_mut().zip(nj) {
+                    *o = v / den;
+                }
+            }
+        }
+    }
+
+    /// Quantile-midpoint centroids from the sorted distinct values and their
+    /// counts — the values a stable argsort of all `n` rows would pick.
+    /// `None` (use the argsort) unless the rows are deduplicated scalars
+    /// free of NaN.
+    fn sorted_quantiles(&self) -> Option<Vec<f32>> {
+        let ids = self.ids.as_ref()?;
+        let (rows, n, k) = (&self.rows, ids.len(), self.k);
+        if self.d != 1 || n == 0 || rows.iter().any(|v| v.is_nan()) {
+            return None;
+        }
+        let mut counts = vec![0usize; rows.len()];
+        for &r in ids {
+            counts[r as usize] += 1;
+        }
+        // Distinct non-NaN patterns have distinct values except ±0, which
+        // compare equal; the argsort orders those by index (below).
+        let mut order: Vec<usize> = (0..rows.len()).collect();
+        order.sort_unstable_by(|&a, &b| rows[a].total_cmp(&rows[b]));
+        let mut out = Vec::with_capacity(k);
+        let (mut g, mut start) = (0, 0);
+        for j in 0..k {
+            let pos = ((((j as f64 + 0.5) / k as f64) * n as f64) as usize).min(n - 1);
+            while start + counts[order[g]] <= pos {
+                start += counts[order[g]];
+                g += 1;
+            }
+            let v = rows[order[g]];
+            out.push(if v == 0.0 {
+                // The zero group holds both signs in index order: take the
+                // sign of the zero at this rank.
+                let negatives: usize = (0..rows.len())
+                    .filter(|&r| rows[r] < 0.0)
+                    .map(|r| counts[r])
+                    .sum();
+                let rank = pos - negatives;
+                *self
+                    .w
+                    .iter()
+                    .filter(|&&x| x == 0.0)
+                    .nth(rank)
+                    .expect("rank inside the zero group")
+            } else {
+                v
+            });
+        }
+        Some(out)
+    }
+}
+
+/// Charge the simulated clock what one dense Lloyd step costs, op by op in
+/// the dense chain's order (`neg_sqdist`, `mul_scalar`, `softmax_lastdim`,
+/// `matmul(Aᵀ, W)`, `sum_axis`, `add_scalar`, `div`).
+fn charge_dense_step(n: usize, k: usize, d: usize, device: Device) {
+    runtime::record_compute(3.0 * (n * k * d) as f64, device);
+    runtime::record_compute((n * k) as f64, device);
+    runtime::record_compute(4.0 * (n * k) as f64, device);
+    runtime::record_compute(2.0 * k as f64 * d as f64 * n as f64, device);
+    runtime::record_compute((n * k) as f64, device);
+    runtime::record_compute(k as f64, device);
+    runtime::record_compute((k * d) as f64, device);
+}
+
+/// One distinct row's terms: the softmax over `-‖row − c_j‖² · scale` for
+/// every centroid `j` (with the operation order of `neg_sqdist`,
+/// `mul_scalar` and `softmax_lastdim`) into the last `k` slots of `out`,
+/// and the products `a_j · row` into the first `k · d`.
+fn row_terms(row: &[f32], c: &[f32], scale: f32, out: &mut [f32]) {
+    let (prods, out) = out.split_at_mut(out.len() / (row.len() + 1) * row.len());
+    for (o, cj) in out.iter_mut().zip(c.chunks_exact(row.len())) {
+        let mut acc = 0.0f32;
+        for (&wv, &cv) in row.iter().zip(cj) {
+            let diff = wv - cv;
+            acc += diff * diff;
+        }
+        *o = -acc * scale;
+    }
+    let mx = out.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0;
+    for o in out.iter_mut() {
+        *o = (*o - mx).exp();
+        sum += *o;
+    }
+    let inv = 1.0 / sum;
+    for o in out.iter_mut() {
+        *o *= inv;
+    }
+    for (p, &a) in prods.chunks_exact_mut(row.len()).zip(out.iter()) {
+        for (p, &wv) in p.iter_mut().zip(row) {
+            *p = a * wv;
+        }
+    }
+}
+
+/// `Σ_i a_ij · w_i` and `Σ_i a_ij` for the centroids `j0..` of `block`, over
+/// the `n` weight rows `i` in order, from their distinct rows' `terms`.
+fn accumulate(
+    terms: &[f32],
+    ids: Option<&[u32]>,
+    n: usize,
+    k: usize,
+    d: usize,
+    j0: usize,
+    block: &mut [f32],
+) {
+    let jn = block.len() / (d + 1);
+    block.fill(0.0);
+    let (num, den) = block.split_at_mut(jn * d);
+    let stride = k * (d + 1);
+    for i in 0..n {
+        let row = &terms[ids.map_or(i, |ids| ids[i] as usize) * stride..][..stride];
+        for (o, &p) in num.iter_mut().zip(&row[j0 * d..(j0 + jn) * d]) {
+            *o += p;
+        }
+        for (o, &a) in den.iter_mut().zip(&row[k * d + j0..][..jn]) {
+            *o += a;
+        }
+    }
+}
+
+/// Deduplicate `[n, d]` rows by their keys: the distinct rows in
+/// first-occurrence order and each row's distinct-row id. Scalar keys (one
+/// 16-bit pattern) index a 2^16-slot table; block keys go through a map.
+fn distinct_rows(w: &[f32], keys: &[u64], d: usize) -> (Vec<f32>, Vec<u32>) {
+    let mut rows = Vec::new();
+    let mut new_row = |i: usize| {
+        let r = (rows.len() / d) as u32;
+        rows.extend_from_slice(&w[i * d..(i + 1) * d]);
+        r
+    };
+    let ids = if d == 1 {
+        let mut slot = vec![u32::MAX; 1 << 16];
+        keys.iter()
+            .enumerate()
+            .map(|(i, &key)| {
+                let s = &mut slot[key as usize];
+                if *s == u32::MAX {
+                    *s = new_row(i);
+                }
+                *s
+            })
+            .collect()
+    } else {
+        let mut slot = HashMap::new();
+        keys.iter()
+            .enumerate()
+            .map(|(i, &key)| *slot.entry(key).or_insert_with(|| new_row(i)))
+            .collect()
+    };
+    (rows, ids)
+}
+
 /// The train-time weight clustering layer.
 #[derive(Debug, Clone)]
 pub struct DkmLayer {
@@ -159,14 +431,18 @@ impl DkmLayer {
         &self.config
     }
 
-    /// Centroid init per the configured [`DkmInit`] strategy.
-    fn init_centroids(&self, w: &Tensor) -> Tensor {
+    /// Centroid init per the configured [`DkmInit`] strategy over `[n, d]`
+    /// rows `data`; `lloyd` supplies sorted distinct values for the
+    /// quantile init when it has them.
+    fn init_centroids(&self, data: &[f32], lloyd: Option<&Lloyd<'_>>) -> Vec<f32> {
         let d = self.config.cluster_dim;
         let k = self.config.k();
-        let data = w.to_vec();
         let n = data.len() / d;
-        let c: Vec<f32> = match self.config.init {
+        match self.config.init {
             DkmInit::Quantile => {
+                if let Some(c) = lloyd.and_then(Lloyd::sorted_quantiles) {
+                    return c;
+                }
                 // Sort row indices by first component; sample quantile
                 // midpoints.
                 let mut order: Vec<usize> = (0..n).collect();
@@ -227,17 +503,74 @@ impl DkmLayer {
                 }
                 c
             }
-        };
-        Tensor::from_vec(c, &[k, d], DType::F32, w.device())
+        }
     }
 
     /// Attention sharpness: 1 / (τ · var(w)), detached.
-    fn logit_scale(&self, w: &Tensor) -> f32 {
-        let data = w.to_vec();
+    fn logit_scale(&self, data: &[f32]) -> f32 {
         let n = data.len().max(1) as f32;
         let mean: f32 = data.iter().sum::<f32>() / n;
         let var: f32 = data.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
         1.0 / (self.config.temperature * var.max(1e-12))
+    }
+
+    /// Row keys of `[n, d]` weight rows: their 16-bit patterns, when the
+    /// weight is 16-bit and blocks fit a `u64` key.
+    fn row_keys(&self, w2: &Tensor) -> Option<RowKeys> {
+        let d = self.config.cluster_dim;
+        if d > uniquify::MAX_KEY_DIM || !w2.dtype().is_16bit() {
+            return None;
+        }
+        w2.bits16()
+            .ok()
+            .map(|patterns| RowKeys::blocks(&patterns, d))
+    }
+
+    /// Init plus the detached Lloyd iterations (the reference DKM detaches
+    /// all but the final iteration) over `[n, d]` rows `data`. Returns the
+    /// Lloyd state, the centroids and the iterations run.
+    fn lloyd<'a>(
+        &self,
+        data: &'a [f32],
+        keys: Option<&RowKeys>,
+        scale: f32,
+        device: Device,
+    ) -> (Lloyd<'a>, Vec<f32>, usize) {
+        let (k, d) = (self.config.k(), self.config.cluster_dim);
+        let mut lloyd = Lloyd::new(data, keys.map(RowKeys::keys), k, d, scale, device);
+        let mut c = self.init_centroids(data, Some(&lloyd));
+        let mut next = vec![0.0f32; k * d];
+        let mut iterations_run = 0;
+        for _ in 0..self.config.iters.saturating_sub(1) {
+            lloyd.step(&c, &mut next);
+            // `ops::max_abs_diff(c_new, c)`.
+            let moved = next
+                .iter()
+                .zip(&c)
+                .map(|(&x, &y)| (x - y).abs())
+                .fold(0.0, f32::max);
+            std::mem::swap(&mut c, &mut next);
+            iterations_run += 1;
+            if moved < self.config.tol {
+                break;
+            }
+        }
+        (lloyd, c, iterations_run)
+    }
+
+    /// Shape `[n, d]` of `numel` weights as rows of `cluster_dim`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `numel` is not divisible by `cluster_dim`.
+    fn rows_shape(&self, numel: usize) -> [usize; 2] {
+        let d = self.config.cluster_dim;
+        assert_eq!(
+            numel % d,
+            0,
+            "numel {numel} not divisible by cluster_dim {d}"
+        );
+        [numel / d, d]
     }
 
     /// Differentiably cluster `w`, returning soft weights with the same
@@ -248,55 +581,22 @@ impl DkmLayer {
     /// Panics if `w.numel()` is not divisible by `cluster_dim`.
     pub fn cluster(&self, w: &Var) -> DkmOutput {
         let shape = w.value().shape().to_vec();
-        let d = self.config.cluster_dim;
-        let numel = w.value().numel();
-        assert_eq!(
-            numel % d,
-            0,
-            "numel {numel} not divisible by cluster_dim {d}"
-        );
-        let n = numel / d;
+        let [n, d] = self.rows_shape(w.value().numel());
         let k = self.config.k();
 
         let w2 = w.reshape(&[n, d]);
-        let wt = w2.value().clone();
-        let scale = self.logit_scale(&wt);
-
-        // Lloyd iterations, detached (the reference DKM detaches all but the
-        // final iteration).
-        let mut c = self.init_centroids(&wt);
-        let mut iterations_run = 0;
-        {
-            let _ng = no_grad();
-            for _ in 0..self.config.iters.saturating_sub(1) {
-                let logits = t::mul_scalar(&t::neg_sqdist(&wt, &c), scale);
-                let a = t::softmax_lastdim(&logits);
-                let num = t::matmul(&a.t(), &wt); // [k, d]
-                let den = t::add_scalar(&t::sum_axis(&a, 0).reshape(&[k, 1]), 1e-8);
-                let c_new = t::div(&num, &den);
-                let moved = t::max_abs_diff(&c_new, &c);
-                c = c_new;
-                iterations_run += 1;
-                if moved < self.config.tol {
-                    break;
-                }
-            }
-        }
+        let wt = w2.value();
+        let keys = self.row_keys(wt);
+        let data = wt.to_vec();
+        let scale = self.logit_scale(&data);
+        let (_, c, iterations_run) = self.lloyd(&data, keys.as_ref(), scale, wt.device());
 
         // Final differentiable iteration: attention map + centroid update +
         // soft assignment, all on the tape. The attention map is annotated
-        // with the weights' bit patterns (when 16-bit, scalar) so the hooks
-        // can uniquify every save of it.
-        let c_const = Var::constant(c);
+        // with the weights' bit patterns (when 16-bit) so the hooks can
+        // uniquify every save of it.
+        let c_const = Var::constant(Tensor::from_vec(c, &[k, d], DType::F32, wt.device()));
         let logits = w2.neg_sqdist(&c_const).mul_scalar(scale);
-        let keys = if d <= uniquify::MAX_KEY_DIM && w.value().dtype().is_16bit() {
-            w2.value()
-                .bits16()
-                .ok()
-                .map(|patterns| RowKeys::blocks(&patterns, d))
-        } else {
-            None
-        };
         let a = softmax_annotated(&logits, keys); // the big [n, k] attention map
 
         let num = a.t().matmul(&w2); // [k, d] — saves Aᵀ (a view of A)
@@ -316,11 +616,35 @@ impl DkmLayer {
         self.cluster(&Var::constant(w.clone()))
     }
 
+    /// The `[k, d]` centroids [`DkmLayer::cluster`] returns for `w`, without
+    /// the soft weights: the Lloyd iterations plus one more step, which is
+    /// the differentiable iteration's centroid update. Builds no `Var` and
+    /// annotates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.numel()` is not divisible by `cluster_dim`.
+    fn centroids(&self, w: &Tensor) -> Tensor {
+        let [n, d] = self.rows_shape(w.numel());
+        let w2 = w.reshape(&[n, d]);
+        let keys = self.row_keys(&w2);
+        let data = w2.to_vec();
+        let scale = self.logit_scale(&data);
+        let (mut lloyd, c, _) = self.lloyd(&data, keys.as_ref(), scale, w2.device());
+        let mut c_star = vec![0.0f32; c.len()];
+        lloyd.step(&c, &mut c_star);
+        Tensor::from_vec(c_star, &[self.config.k(), d], DType::F32, w.device())
+    }
+
     /// Hard-assign `w` to its nearest centroids and pack into a palettized
     /// tensor (the deployment artifact: LUT + n-bit indices).
     pub fn palettize(&self, w: &Tensor) -> PalettizedTensor {
-        let out = self.cluster_tensor(w);
-        PalettizedTensor::from_nearest(w, &out.centroids, self.config.bits, self.config.cluster_dim)
+        PalettizedTensor::from_nearest(
+            w,
+            &self.centroids(w),
+            self.config.bits,
+            self.config.cluster_dim,
+        )
     }
 
     /// Palettize a `[rows, cols]` matrix with one independently clustered
@@ -356,7 +680,7 @@ impl DkmLayer {
 mod tests {
     use super::*;
     use edkm_autograd::check_gradients;
-    use edkm_tensor::{runtime, Device};
+    use edkm_tensor::{runtime, CostModel, Device};
 
     fn layer(bits: u8) -> DkmLayer {
         DkmLayer::new(DkmConfig::with_bits(bits))
@@ -664,6 +988,152 @@ mod tests {
         assert!(
             sharp < diffuse / 2.0,
             "τ=0.005 mean gap {sharp} must be far below τ=0.5 gap {diffuse}"
+        );
+    }
+
+    /// The dense tensor-op Lloyd chain the fused step replaces: argsort
+    /// init, then `neg_sqdist → mul_scalar → softmax_lastdim → Aᵀ·W /
+    /// (ΣA + ε)` per iteration, over all `n` rows.
+    fn reference_lloyd(lay: &DkmLayer, wt: &Tensor) -> (Tensor, usize) {
+        let cfg = lay.config();
+        let (k, d) = (cfg.k(), cfg.cluster_dim);
+        let data = wt.to_vec();
+        let scale = lay.logit_scale(&data);
+        let init = lay.init_centroids(&data, None);
+        let mut c = Tensor::from_vec(init, &[k, d], DType::F32, wt.device());
+        let mut iterations_run = 0;
+        for _ in 0..cfg.iters.saturating_sub(1) {
+            let logits = t::mul_scalar(&t::neg_sqdist(wt, &c), scale);
+            let a = t::softmax_lastdim(&logits);
+            let num = t::matmul(&a.t(), wt);
+            let den = t::add_scalar(&t::sum_axis(&a, 0).reshape(&[k, 1]), 1e-8);
+            let c_new = t::div(&num, &den);
+            let moved = t::max_abs_diff(&c_new, &c);
+            c = c_new;
+            iterations_run += 1;
+            if moved < cfg.tol {
+                break;
+            }
+        }
+        (c, iterations_run)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `run`'s result and the simulated seconds it charged, on a fresh
+    /// runtime bound to this thread (other tests charge the process
+    /// default) whose slow GPU makes every op's charge whole nanoseconds.
+    fn charged<T>(run: impl FnOnce() -> T) -> (T, f64) {
+        let rt = runtime::Runtime::new();
+        rt.set_cost_model(CostModel {
+            gpu_flops: 1e3,
+            ..CostModel::default()
+        });
+        let _bound = runtime::bind(&rt);
+        let out = run();
+        (out, rt.clock().seconds())
+    }
+
+    /// The fused Lloyd loop on `w` equals the dense reference bit for bit,
+    /// runs as many iterations and charges the same simulated seconds; the
+    /// centroids-only path equals `cluster`'s `c*`. Returns the iterations.
+    fn assert_matches_reference(lay: &DkmLayer, w: &Tensor, what: &str) -> usize {
+        let [n, d] = lay.rows_shape(w.numel());
+        let wt = w.reshape(&[n, d]);
+        let ((want, want_iters), want_s) = charged(|| reference_lloyd(lay, &wt));
+        let keys = lay.row_keys(&wt);
+        let data = wt.to_vec();
+        let scale = lay.logit_scale(&data);
+        let ((_, got, got_iters), got_s) =
+            charged(|| lay.lloyd(&data, keys.as_ref(), scale, wt.device()));
+        assert_eq!(got_s, want_s, "{what}: simulated seconds");
+        assert_eq!(bits(&got), bits(&want.to_vec()), "{what}: centroids");
+        assert_eq!(got_iters, want_iters, "{what}: iterations");
+        assert_eq!(
+            bits(&lay.centroids(w).to_vec()),
+            bits(&lay.cluster_tensor(w).centroids.to_vec()),
+            "{what}: centroids-only path"
+        );
+        got_iters
+    }
+
+    #[test]
+    fn fused_lloyd_matches_the_dense_chain_bit_for_bit() {
+        let inits = [
+            DkmInit::Quantile,
+            DkmInit::KmeansPlusPlus { seed: 11 },
+            DkmInit::UniformRange,
+        ];
+        for dtype in [DType::Bf16, DType::F16, DType::F32] {
+            let w = Tensor::randn(&[48, 32], dtype, Device::gpu(), 31).map(|v| v * 0.02);
+            for dim in [1, 2, 4] {
+                for init in inits {
+                    let lay = DkmLayer::new(DkmConfig {
+                        init,
+                        ..DkmConfig::with_vector(3, dim)
+                    });
+                    assert_matches_reference(&lay, &w, &format!("{dtype:?} d={dim} {init:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_lloyd_matches_on_early_stop() {
+        let w = Tensor::randn(&[64, 16], DType::Bf16, Device::gpu(), 32).map(|v| v * 0.02);
+        let lay = DkmLayer::new(DkmConfig {
+            tol: 1e-3,
+            ..DkmConfig::with_bits(3)
+        });
+        let iters = assert_matches_reference(&lay, &w, "early stop");
+        assert!(iters < lay.config().iters - 1, "no early stop: {iters}");
+    }
+
+    #[test]
+    fn fused_lloyd_matches_when_split_across_workers() {
+        // 2^14 scalar rows × 8 centroids reach the parallel threshold: the
+        // accumulation splits by centroid (and, for f32, the softmax rows
+        // split by row).
+        const { assert!(128 * 128 * 8 >= t::PAR_WORK_THRESHOLD) };
+        for dtype in [DType::Bf16, DType::F32] {
+            let w = Tensor::randn(&[128, 128], dtype, Device::gpu(), 33).map(|v| v * 0.02);
+            assert_matches_reference(&layer(3), &w, &format!("{dtype:?} 2^14 rows"));
+        }
+    }
+
+    #[test]
+    fn quantile_init_breaks_the_signed_zero_tie_by_index() {
+        // Half the weights are ±0 in alternating index order, so middle
+        // quantiles land in the zero group, where the stable argsort picks
+        // the sign of the zero at that rank.
+        let data: Vec<f32> = (0..1024)
+            .map(|i| match i % 4 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => ((i * 37 % 101) as f32 - 50.0) * 1e-3,
+            })
+            .collect();
+        let w = Tensor::from_vec(data, &[1024], DType::Bf16, Device::gpu());
+        for iters in [1, 8] {
+            let lay = DkmLayer::new(DkmConfig {
+                iters,
+                ..DkmConfig::with_bits(3)
+            });
+            assert_matches_reference(&lay, &w, &format!("±0, iters {iters}"));
+        }
+        let lay = DkmLayer::new(DkmConfig {
+            iters: 1,
+            ..DkmConfig::with_bits(3)
+        });
+        let data = w.to_vec();
+        let keys = lay.row_keys(&w.reshape(&[1024, 1]));
+        let (_, init, _) = lay.lloyd(&data, keys.as_ref(), lay.logit_scale(&data), w.device());
+        assert!(
+            init.iter().any(|v| v.to_bits() == (-0.0f32).to_bits())
+                && init.iter().any(|v| v.to_bits() == 0),
+            "both zero signs must be picked: {init:?}"
         );
     }
 

@@ -570,6 +570,98 @@ mod tests {
         assert!(uniq.len() <= 16, "got {} distinct values", uniq.len());
     }
 
+    /// A small fine-tune-and-compress run: per-step loss bits and the
+    /// FNV-1a hash of the serialized container.
+    fn golden_run(dtype: DType, spec: CompressSpec) -> (Vec<u32>, u64) {
+        runtime::reset();
+        let config = LlamaConfig {
+            vocab: 32,
+            d_model: 32,
+            n_heads: 2,
+            n_layers: 1,
+            d_ff: 64,
+            max_seq: 8,
+        };
+        let model = LlamaModel::new(config, dtype, Device::gpu(), 11);
+        let batches = vec![
+            LmBatch::new(vec![vec![1, 5, 9, 2, 7, 3], vec![4, 8, 1, 6, 2, 9]]),
+            LmBatch::new(vec![vec![3, 1, 4, 1, 5, 9], vec![2, 6, 5, 3, 5, 8]]),
+        ];
+        let res = CompressionPipeline::new(spec).fine_tune_and_compress(&model, &batches);
+        let losses = res.losses.iter().map(|l| l.to_bits()).collect();
+        (losses, crate::serialize::fnv1a(&res.compressed.to_bytes()))
+    }
+
+    #[test]
+    fn fine_tune_and_compress_matches_recorded_bits() {
+        // Loss bits and container hashes recorded from the dense tensor-op
+        // Lloyd loop; the clustering must reproduce them exactly.
+        let mut scalar = CompressSpec::with_bits(3);
+        scalar.epochs = 1;
+        scalar.edkm = EdkmConfig::full(2);
+        assert_eq!(
+            golden_run(DType::Bf16, scalar),
+            (vec![0x40701222, 0x406a90f9], 0xf3753e5fc4c5ba75)
+        );
+
+        let mut vector = CompressSpec::vector(4, 2);
+        vector.epochs = 1;
+        vector.edkm = EdkmConfig::full(2);
+        vector.dkm.init = crate::dkm::DkmInit::UniformRange;
+        vector.lut_group_rows = 8;
+        assert_eq!(
+            golden_run(DType::F16, vector),
+            (vec![0x406d6953, 0x406a5260], 0x43e13877da403997)
+        );
+
+        let mut wide = CompressSpec::with_bits(4);
+        wide.epochs = 1;
+        wide.edkm = EdkmConfig::full(2);
+        wide.dkm.init = crate::dkm::DkmInit::KmeansPlusPlus { seed: 5 };
+        assert_eq!(
+            golden_run(DType::F32, wide),
+            (vec![0x4070156f, 0x406b1bc3], 0x6ebdef457dd68261)
+        );
+    }
+
+    #[test]
+    fn palettize_decodes_like_the_nearest_cluster_centroids() {
+        runtime::reset();
+        let model = tiny_model();
+        for dkm in [DkmConfig::with_bits(3), DkmConfig::with_vector(4, 2)] {
+            let layer = DkmLayer::new(dkm);
+            for p in model.layers()[0].projections() {
+                let w = p.weight().value();
+                let nearest = PalettizedTensor::from_nearest(
+                    w,
+                    &layer.cluster_tensor(w).centroids,
+                    dkm.bits,
+                    dkm.cluster_dim,
+                );
+                let bits = |t: PalettizedTensor| -> Vec<u32> {
+                    t.decode().to_vec().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(layer.palettize(w)), bits(nearest), "{}", p.name());
+            }
+        }
+        uniquify::clear_annotations();
+    }
+
+    #[test]
+    fn export_leaves_no_annotations_behind() {
+        runtime::reset();
+        uniquify::clear_annotations();
+        let model = tiny_model();
+        let w = model.layers()[0].projections()[0].weight().value().clone();
+        let dkm = DkmLayer::new(DkmConfig::with_bits(3));
+        dkm.palettize(&w);
+        assert_eq!(uniquify::annotation_count(), 0, "palettize");
+        dkm.palettize_grouped(&w, 4);
+        assert_eq!(uniquify::annotation_count(), 0, "palettize_grouped");
+        CompressionPipeline::new(quick_spec()).export(&model);
+        assert_eq!(uniquify::annotation_count(), 0, "export");
+    }
+
     #[test]
     fn fine_tuning_with_clustering_reduces_loss() {
         runtime::reset();

@@ -27,7 +27,7 @@ const MAGIC: &[u8; 4] = b"EDKM";
 const VERSION: u16 = 2;
 
 /// 64-bit FNV-1a over `data` (the container's integrity trailer).
-fn fnv1a(data: &[u8]) -> u64 {
+pub(crate) fn fnv1a(data: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in data {
         h ^= u64::from(b);

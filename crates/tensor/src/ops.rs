@@ -10,7 +10,7 @@ use rayon::prelude::*;
 
 /// Multiply-accumulate count below which a kernel stays single-threaded
 /// (spawning workers costs more than it saves on small tensors).
-const PAR_WORK_THRESHOLD: usize = 1 << 17;
+pub const PAR_WORK_THRESHOLD: usize = 1 << 17;
 
 /// Dtype promotion for binary ops: like dtypes stay, unlike promote to f32.
 pub fn promote(a: DType, b: DType) -> DType {
