@@ -33,10 +33,9 @@ use edkm_chaos::{FaultPlan, FaultProfile};
 use edkm_cluster::{Cluster, ClusterConfig};
 use edkm_core::{
     CompressSpec, CompressionPipeline, EngineConfig, Generator, KvBlockConfig, PalettizedModel,
-    SamplingConfig, ServeEngine, ServeModel, ServeResponse, TokenEvent,
+    SamplingConfig, ServeEngine, ServeResponse, TokenEvent,
 };
 use edkm_data::{Corpus, Grammar, TaskSuite};
-use edkm_dist::LearnerGroup;
 use edkm_eval::{evaluate_suite, perplexity};
 use edkm_nn::{AdamWConfig, LlamaConfig, LlamaModel, LmBatch, LrSchedule, TrainConfig, Trainer};
 use edkm_tensor::{runtime, DType, Device};
@@ -137,22 +136,16 @@ impl Latencies {
     }
 }
 
-/// One engine run over `prompts`: wall seconds, simulated seconds, the
-/// final stats snapshot, responses (sorted by id) and stream latencies.
+/// One engine run over `prompts`: wall seconds, the final stats snapshot,
+/// responses (sorted by id) and stream latencies.
 /// Every consumer drains its stream on its own thread so token arrival
 /// times are real, not serialized by the measuring loop.
-fn run_engine<M: ServeModel + 'static>(
-    model: M,
+fn run_engine(
+    model: PalettizedModel,
     prompts: &[Vec<usize>],
     gen_tokens: usize,
     max_batch: usize,
-) -> (
-    f64,
-    f64,
-    edkm_core::StatsSnapshot,
-    Vec<ServeResponse>,
-    Latencies,
-) {
+) -> (f64, edkm_core::StatsSnapshot, Vec<ServeResponse>, Latencies) {
     let engine = ServeEngine::new(
         model,
         EngineConfig {
@@ -161,7 +154,6 @@ fn run_engine<M: ServeModel + 'static>(
         },
     );
     let handle = engine.handle();
-    let sim0 = runtime::sim_seconds();
     let t0 = Instant::now();
     let consumers: Vec<_> = prompts
         .iter()
@@ -209,11 +201,10 @@ fn run_engine<M: ServeModel + 'static>(
         lat.per_token_ms.extend(gaps);
     }
     let secs = t0.elapsed().as_secs_f64();
-    let sim_s = runtime::sim_seconds() - sim0;
     let stats = handle.stats();
     engine.shutdown();
     responses.sort_by_key(|r| r.id);
-    (secs, sim_s, stats, responses, lat.sorted())
+    (secs, stats, responses, lat.sorted())
 }
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -754,8 +745,7 @@ fn main() {
     let mut batch8_lat = None;
     let mut batch8_scratch = (0u64, 0u64);
     for &max_batch in &[1usize, 4, 8] {
-        let (secs, _, stats, out, lat) =
-            run_engine(model.clone(), &prompts, wl.gen_tokens, max_batch);
+        let (secs, stats, out, lat) = run_engine(model.clone(), &prompts, wl.gen_tokens, max_batch);
         // Throughput must never change results: greedy tokens are identical
         // to the sequential run at every batch size.
         for (resp, want) in out.iter().zip(&sequential) {
@@ -773,35 +763,18 @@ fn main() {
     }
     let batch8_lat = batch8_lat.expect("batch 8 ran");
 
-    // Tensor-parallel shard sweep (batch 8): every projection partitioned
-    // over the learner group, shard GEMMs on worker threads, all-gathers
-    // on the simulated clock. Tokens stay bit-identical at every count.
-    let mut shard_rows = Vec::new();
-    for &shards in &[1usize, 2, 4] {
-        let sharded = model.shard(LearnerGroup::new(shards));
-        let (secs, sim_s, _, out, _) = run_engine(sharded, &prompts, wl.gen_tokens, 8);
-        for (resp, want) in out.iter().zip(&sequential) {
-            assert_eq!(
-                &resp.tokens, want,
-                "{shards} shards: request {} diverged",
-                resp.id
-            );
-        }
-        shard_rows.push((shards, secs, sim_s));
-    }
-
     // Paged vs monolithic KV (batch 8): small blocks vs one max_seq-sized
     // block per sequence (the monolithic worst case the pool replaces).
     let paged_model = model.clone().with_kv_config(KvBlockConfig {
         block_tokens: 4,
         max_blocks: 0,
     });
-    let (_, _, paged_stats, paged_out, _) = run_engine(paged_model, &prompts, wl.gen_tokens, 8);
+    let (_, paged_stats, paged_out, _) = run_engine(paged_model, &prompts, wl.gen_tokens, 8);
     let mono_model = model.clone().with_kv_config(KvBlockConfig {
         block_tokens: wl.config.max_seq,
         max_blocks: 0,
     });
-    let (_, _, mono_stats, mono_out, _) = run_engine(mono_model, &prompts, wl.gen_tokens, 8);
+    let (_, mono_stats, mono_out, _) = run_engine(mono_model, &prompts, wl.gen_tokens, 8);
     for (a, b) in paged_out.iter().zip(&mono_out) {
         assert_eq!(a.tokens, b.tokens, "paging granularity changed tokens");
     }
@@ -852,15 +825,6 @@ fn main() {
          per-token p50 {tok_p50:.3} ms / p95 {tok_p95:.3} ms"
     );
 
-    println!("\n  {:<24} {:>10} {:>12}", "shards", "tok/s", "sim s");
-    for &(shards, secs, sim_s) in &shard_rows {
-        println!(
-            "  {:<24} {:>10.1} {:>12.4}",
-            format!("tensor-parallel {shards}"),
-            tok_per_sec(total_tokens, secs),
-            sim_s
-        );
-    }
     println!(
         "\n  peak KV: paged (4-token blocks) {} B vs monolithic {} B = {:.2}x saved",
         paged_peak, mono_peak, kv_saving
@@ -1081,9 +1045,6 @@ fn main() {
          \"batch8_speedup\": {:.3},\n  \
          \"ttft_p50_ms\": {ttft_p50:.3},\n  \"ttft_p95_ms\": {ttft_p95:.3},\n  \
          \"per_token_p50_ms\": {tok_p50:.4},\n  \"per_token_p95_ms\": {tok_p95:.4},\n  \
-         \"shard1_tok_s\": {:.1},\n  \"shard2_tok_s\": {:.1},\n  \
-         \"shard4_tok_s\": {:.1},\n  \"shard1_sim_s\": {:.6},\n  \
-         \"shard2_sim_s\": {:.6},\n  \"shard4_sim_s\": {:.6},\n  \
          \"kv_paged_peak_bytes\": {paged_peak},\n  \
          \"kv_monolithic_peak_bytes\": {mono_peak},\n  \
          \"kv_paged_saving\": {kv_saving:.3},\n  \
@@ -1128,12 +1089,6 @@ fn main() {
         tok_per_sec(total_tokens, batched[1].1),
         batch8_tps,
         speedup,
-        tok_per_sec(total_tokens, shard_rows[0].1),
-        tok_per_sec(total_tokens, shard_rows[1].1),
-        tok_per_sec(total_tokens, shard_rows[2].1),
-        shard_rows[0].2,
-        shard_rows[1].2,
-        shard_rows[2].2,
         batch8_scratch.0,
         batch8_scratch.1,
         ps.prefix_hit_rate,

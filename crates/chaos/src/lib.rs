@@ -352,12 +352,7 @@ impl FaultPlan {
     /// FNV-1a hash of [`FaultPlan::to_bytes`] — the plan's identity in
     /// logs, bench JSON, and CI assertions.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
+        edkm_core::serialize::fnv1a(&self.to_bytes())
     }
 }
 

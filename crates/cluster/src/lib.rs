@@ -3,9 +3,8 @@
 //! A multi-replica serving fleet behind a load- and prefix-aware router.
 //!
 //! A [`Cluster`] owns N [`ServeEngine`] replicas — each wrapping any
-//! [`ServeModel`], including tensor-parallel sharded models — and hands out
-//! cloneable [`RouterHandle`]s exposing the same submit/stream/cancel
-//! surface as [`EngineHandle`]. The router layers
+//! [`ServeModel`] — and hands out cloneable [`RouterHandle`]s exposing the
+//! same submit/stream/cancel surface as [`EngineHandle`]. The router layers
 //! four policies on top of replica dispatch:
 //!
 //! * **Load-aware scoring** — each replica is scored

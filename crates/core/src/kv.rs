@@ -799,24 +799,18 @@ pub struct PrefixHasher {
 }
 
 impl PrefixHasher {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
     /// A hasher over the empty prefix.
     #[allow(clippy::new_without_default)]
     pub fn new() -> Self {
         PrefixHasher {
-            state: Self::OFFSET,
+            state: crate::serialize::FNV1A_OFFSET,
         }
     }
 
     /// Absorb one token and return the fingerprint of the prefix ending
     /// at it.
     pub fn push(&mut self, token: usize) -> u64 {
-        for byte in (token as u64).to_le_bytes() {
-            self.state ^= u64::from(byte);
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
+        self.state = crate::serialize::fnv1a_extend(self.state, &(token as u64).to_le_bytes());
         self.state
     }
 

@@ -65,10 +65,7 @@ pub use engine::{
 };
 pub use entropy::{index_entropy_bits, EntropyCoded, HuffmanCode};
 pub use hooks::{EdkmConfig, EdkmHooks, HookStatsSnapshot};
-pub use infer::{
-    ChunkView, LutProjection, PalettizedLinear, PalettizedModel, Partition, ServeError, ServeModel,
-    ShardedPalettizedLinear, ShardedPalettizedModel,
-};
+pub use infer::{ChunkView, PalettizedLinear, PalettizedModel, ServeError, ServeModel};
 pub use kv::{
     prefix_fingerprints, token_fingerprint, KvBlockConfig, KvBlockPool, KvCache, PrefixHasher,
 };

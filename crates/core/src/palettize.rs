@@ -146,47 +146,6 @@ impl PalettizedTensor {
         }
     }
 
-    /// Rebuild a palettized tensor from an explicit LUT and *unpacked*
-    /// indices — how tensor-parallel serving carves one palette into
-    /// per-shard artifacts (each shard keeps the full LUT and packs only
-    /// its own index rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the LUT is not `[k, cluster_dim]`-shaped for `k ≤ 2^bits`,
-    /// an index is out of range, or `indices.len() · cluster_dim` disagrees
-    /// with `shape`.
-    pub fn from_lut_indices(
-        lut: Vec<f32>,
-        indices: &[u32],
-        bits: u8,
-        cluster_dim: usize,
-        shape: Vec<usize>,
-    ) -> Self {
-        assert!(cluster_dim > 0, "cluster_dim must be positive");
-        assert_eq!(lut.len() % cluster_dim, 0, "LUT must be [k, cluster_dim]");
-        let k = lut.len() / cluster_dim;
-        assert!(k <= (1usize << bits), "{k} centroids exceed {bits} bits");
-        assert_eq!(
-            indices.len() * cluster_dim,
-            shape.iter().product::<usize>(),
-            "indices must cover the shape"
-        );
-        assert!(
-            indices.iter().all(|&i| (i as usize) < k),
-            "index out of LUT range"
-        );
-        let packed = pack_bits(indices, bits);
-        PalettizedTensor {
-            lut,
-            packed,
-            bits,
-            k,
-            cluster_dim,
-            shape,
-        }
-    }
-
     /// Palette bit width.
     pub fn bits(&self) -> u8 {
         self.bits

@@ -26,14 +26,23 @@ use edkm_tensor::dtype;
 const MAGIC: &[u8; 4] = b"EDKM";
 const VERSION: u16 = 2;
 
-/// 64-bit FNV-1a over `data` (the container's integrity trailer).
-pub(crate) fn fnv1a(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// 64-bit FNV-1a offset basis: the hash of empty input, and the state an
+/// incremental hash starts from.
+pub(crate) const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue a 64-bit FNV-1a hash from `state` over `data`. Hashing a
+/// message piece by piece gives the same value as hashing it whole.
+pub(crate) fn fnv1a_extend(state: u64, data: &[u8]) -> u64 {
+    data.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// 64-bit FNV-1a over `data`: the container's integrity trailer, and the
+/// hash behind every fingerprint in the workspace (token prefixes,
+/// workload traces, fault plans).
+pub fn fnv1a(data: &[u8]) -> u64 {
+    fnv1a_extend(FNV1A_OFFSET, data)
 }
 
 /// Error decoding a serialized model.
@@ -273,6 +282,14 @@ mod tests {
     use crate::pipeline::{CompressSpec, CompressionPipeline};
     use edkm_nn::{LlamaConfig, LlamaModel};
     use edkm_tensor::{runtime, DType, Device};
+
+    #[test]
+    fn fnv1a_matches_reference_vectors_and_extends_piecewise() {
+        assert_eq!(fnv1a(b""), FNV1A_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
 
     fn model_and_compressed() -> (LlamaModel, CompressedModel) {
         runtime::reset();

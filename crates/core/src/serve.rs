@@ -187,8 +187,8 @@ pub fn sample_token(row: &[f32], sampling: &SamplingConfig, rng: &mut StdRng) ->
     last // rounding fell off the end: return the last viable token
 }
 
-/// KV-cached autoregressive generation over any [`ServeModel`]
-/// (a [`PalettizedModel`] or its tensor-parallel sharded counterpart).
+/// KV-cached autoregressive generation over any [`ServeModel`], such as a
+/// [`PalettizedModel`].
 ///
 /// ```
 /// use edkm_core::{CompressSpec, Generator, PalettizedModel};

@@ -27,8 +27,6 @@
 
 pub mod group;
 pub mod trainer;
-pub mod workers;
 
 pub use group::{LearnerGroup, ShardSpec};
 pub use trainer::DataParallelTrainer;
-pub use workers::ShardWorkers;

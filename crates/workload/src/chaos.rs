@@ -23,7 +23,7 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use crate::replay::{EngineReplayConfig, RequestOutcome};
+use crate::replay::{turn_dependencies, EngineReplayConfig, RequestOutcome};
 use crate::report::percentile_u64;
 use crate::trace::Trace;
 use edkm_chaos::{FaultApplied, FaultEvent, FaultHook, FaultKind, FaultPlan};
@@ -252,21 +252,6 @@ fn replay_router_lossy(router: &RouterHandle, trace: &Trace) -> LossyOutcome {
         index_violations,
         wall_secs: t0.elapsed().as_secs_f64(),
     }
-}
-
-/// Same turn-dependency scan as the strict replay driver: the latest
-/// earlier request whose prompt is a proper prefix of this one.
-fn turn_dependencies(trace: &Trace) -> Vec<Option<usize>> {
-    let requests = trace.requests();
-    let mut deps = vec![None; requests.len()];
-    for j in 0..requests.len() {
-        let pj = &requests[j].prompt;
-        deps[j] = (0..j).rev().find(|&i| {
-            let pi = &requests[i].prompt;
-            pi.len() < pj.len() && pj[..pi.len()] == pi[..]
-        });
-    }
-    deps
 }
 
 /// Replay `trace` under `plan` through a supervised fleet and audit the

@@ -482,7 +482,7 @@ pub fn replay_cluster<M: ServeModel + 'static>(
 /// prompt is a proper prefix of its own — the prior turn of the same chat
 /// session (chat traces replay the full conversation in every prompt).
 /// Requests without such a predecessor are independent.
-fn turn_dependencies(trace: &Trace) -> Vec<Option<usize>> {
+pub(crate) fn turn_dependencies(trace: &Trace) -> Vec<Option<usize>> {
     let requests = trace.requests();
     let mut deps = vec![None; requests.len()];
     for j in 0..requests.len() {

@@ -25,7 +25,6 @@ use edkm::core::{
     ServeModel,
 };
 use edkm::data::{AlpacaSet, Corpus, Grammar};
-use edkm::dist::LearnerGroup;
 use edkm::eval::perplexity;
 use edkm::nn::{AdamWConfig, LlamaConfig, LlamaModel, LmBatch, TrainConfig, Trainer};
 use edkm::tensor::{runtime, DType, Device, Tensor};
@@ -48,10 +47,22 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
     None
 }
 
+/// `--name`'s value parsed as `T`, or `default` when the flag is absent. A
+/// present flag whose value is malformed or missing names the flag, prints
+/// usage and exits 2.
 fn parse_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    flag_value(args, name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match flag_value(args, name) {
+        Some(text) => text.parse().unwrap_or_else(|_| malformed(name, &text)),
+        None if args.iter().any(|a| a == name) => malformed(name, ""),
+        None => default,
+    }
+}
+
+/// Reject a malformed flag value: name it, print usage, exit 2.
+fn malformed(name: &str, text: &str) -> ! {
+    eprintln!("{name} cannot parse {text:?}\n");
+    usage();
+    std::process::exit(2)
 }
 
 fn usage() {
@@ -70,11 +81,10 @@ commands:
              flags: --d-model N (256)  --learners L (8)
   serve      compress a small pretrained model and serve sampled requests
              through the streaming engine (handle-based token streams over
-             the continuous-batching scheduler; optionally tensor-parallel
-             over a learner group, paged KV cache)
+             the continuous-batching scheduler, paged KV cache)
              flags: --bits N (3)  --batch B (4)  --requests R (6)
                     --new T (16)  --temp F (0.8, 0 = greedy)
-                    --shards S (1)  --kv-block-tokens T (16)
+                    --kv-block-tokens T (16)
                     --kv-blocks B (0 = unbounded pool)
                     --backend scalar|vectorized|vec4|vec8|vec16|sim|auto
                     (LUT-GEMM kernel backend; default auto-detects lanes)
@@ -233,10 +243,14 @@ fn cmd_compress(args: &[String]) {
 }
 
 fn cmd_sweep(args: &[String]) {
-    let bits_list: Vec<u8> = flag_value(args, "--bits")
-        .unwrap_or_else(|| "2,3,4".into())
+    let bits_text = flag_value(args, "--bits").unwrap_or_else(|| "2,3,4".into());
+    let bits_list: Vec<u8> = bits_text
         .split(',')
-        .filter_map(|s| s.trim().parse().ok())
+        .map(|s| {
+            s.trim()
+                .parse()
+                .unwrap_or_else(|_| malformed("--bits", &bits_text))
+        })
         .collect();
     let dim: usize = parse_or(args, "--dim", 1);
     let wb = Workbench::build(120);
@@ -360,12 +374,12 @@ fn edkm_bench_table(rows: &[edkm::core::AblationRow]) -> String {
     s
 }
 
-/// Drive handle-based serving over any [`ServeModel`] (unsharded or
-/// tensor-parallel): the engine owns the scheduler loop on its worker
-/// thread, the CLI consumes each request's token stream and prints the
-/// responses plus throughput/KV/TTFT stats.
-fn serve_with_model<M: ServeModel + 'static>(
-    model: M,
+/// Drive handle-based serving over one palettized model: the engine owns
+/// the scheduler loop on its worker thread, the CLI consumes each
+/// request's token stream and prints the responses plus throughput/KV/TTFT
+/// stats.
+fn serve_with_model(
+    model: PalettizedModel,
     max_batch: usize,
     n_requests: usize,
     n_new: usize,
@@ -490,8 +504,8 @@ fn serve_request(id: u64, max_prompt: usize, vocab: usize, n_new: usize, temp: f
 /// submitted through the prefix-affinity router of an [`edkm::cluster`]
 /// fleet. Placement never changes sampled output — per-request tokens are
 /// bit-identical to the single-engine path.
-fn serve_with_cluster<M: ServeModel + 'static>(
-    models: Vec<M>,
+fn serve_with_cluster(
+    models: Vec<PalettizedModel>,
     max_batch: usize,
     n_requests: usize,
     n_new: usize,
@@ -674,7 +688,6 @@ fn cmd_serve(args: &[String]) {
     let n_requests: usize = parse_or(args, "--requests", 6);
     let n_new: usize = parse_or(args, "--new", 16);
     let temperature: f32 = parse_or(args, "--temp", 0.8);
-    let shards: usize = parse_or(args, "--shards", 1).max(1);
     let replicas: usize = parse_or(args, "--replicas", 1).max(1);
     let affinity = args.iter().any(|a| a == "--affinity");
     let kv_block_tokens: usize = parse_or(args, "--kv-block-tokens", 16).max(1);
@@ -691,7 +704,7 @@ fn cmd_serve(args: &[String]) {
     }
     println!(
         "serving a {bits}-bit compressed model: {n_requests} requests x {n_new} tokens, \
-         continuous batching at batch {max_batch}, {shards} shard(s), \
+         continuous batching at batch {max_batch}, \
          {kv_block_tokens}-token KV blocks\n"
     );
     let wb = Workbench::build(80);
@@ -747,9 +760,6 @@ fn cmd_serve(args: &[String]) {
             usage();
             std::process::exit(2);
         };
-        if shards > 1 {
-            eprintln!("note: --chaos-seed serves unsharded replicas; ignoring --shards");
-        }
         if replicas < 2 {
             eprintln!("note: chaos needs survivors; raising --replicas to 2");
         }
@@ -809,46 +819,15 @@ fn cmd_serve(args: &[String]) {
         );
         // Each replica gets an independent KV pool (`with_kv_config`
         // replaces the pool a clone would otherwise share).
-        if shards > 1 {
-            let fleet: Vec<_> = (0..replicas)
-                .map(|_| {
-                    model
-                        .clone()
-                        .shard(LearnerGroup::new(shards))
-                        .with_kv_config(kv)
-                        .with_prefix_cache(prefix_cache)
-                })
-                .collect();
-            serve_with_cluster(fleet, max_batch, n_requests, n_new, temperature, affinity);
-        } else {
-            let fleet: Vec<_> = (0..replicas)
-                .map(|_| {
-                    model
-                        .clone()
-                        .with_kv_config(kv)
-                        .with_prefix_cache(prefix_cache)
-                })
-                .collect();
-            serve_with_cluster(fleet, max_batch, n_requests, n_new, temperature, affinity);
-        }
-    } else if shards > 1 {
-        let sharded = model
-            .shard(LearnerGroup::new(shards))
-            .with_kv_config(kv)
-            .with_prefix_cache(prefix_cache);
-        println!(
-            "tensor-parallel over {} learners: {} bytes total (full LUT per shard)",
-            shards,
-            sharded.size_bytes()
-        );
-        serve_with_model(
-            sharded,
-            max_batch,
-            n_requests,
-            n_new,
-            temperature,
-            speculative,
-        );
+        let fleet: Vec<_> = (0..replicas)
+            .map(|_| {
+                model
+                    .clone()
+                    .with_kv_config(kv)
+                    .with_prefix_cache(prefix_cache)
+            })
+            .collect();
+        serve_with_cluster(fleet, max_batch, n_requests, n_new, temperature, affinity);
     } else {
         serve_with_model(
             model,

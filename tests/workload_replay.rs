@@ -3,8 +3,9 @@
 //! `(model, trace, max_batch)` — identical token streams and aggregate
 //! counters across runs, batch caps, and engine worker interleavings.
 
+use edkm::chaos::{FaultPlan, FaultProfile};
 use edkm::cluster::{Cluster, ClusterConfig};
-use edkm::core::{CompressSpec, EngineConfig, KvBlockConfig, PalettizedModel};
+use edkm::core::{token_fingerprint, CompressSpec, EngineConfig, KvBlockConfig, PalettizedModel};
 use edkm::nn::{LlamaConfig, LlamaModel};
 use edkm::tensor::{runtime, DType, Device};
 use edkm::workload::{
@@ -51,6 +52,22 @@ fn same_seed_traces_are_byte_identical() {
             "{kind}: different seeds must name different traces"
         );
     }
+}
+
+/// Fingerprints are identities that logs, bench records and routers
+/// compare across runs and builds, so their bits are pinned: a change to
+/// the hash or to the byte encodings it covers shows up here.
+#[test]
+fn fingerprints_are_pinned() {
+    assert_eq!(
+        trace_for(TraceKind::Mixed, 42).fingerprint(),
+        0x00f9_c30d_af6f_9fb7
+    );
+    assert_eq!(
+        FaultPlan::generate(FaultProfile::ReplicaChurn, 7, 4, 400).fingerprint(),
+        0x9dcc_d3e3_20c9_886e
+    );
+    assert_eq!(token_fingerprint(&[1, 2, 3]), 0xda2b_fb22_5e0d_1f05);
 }
 
 #[test]
