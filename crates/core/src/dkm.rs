@@ -20,33 +20,6 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Softmax over the last axis whose output storage is annotated with weight
-/// bit patterns *before* it is saved for backward — so the saved-tensor
-/// hooks can uniquify the attention map (the save happens inside this op).
-fn softmax_annotated(x: &Var, keys: Option<RowKeys>) -> Var {
-    let value = t::softmax_lastdim(x.value());
-    if let Some(keys) = keys {
-        uniquify::annotate(value.storage_id(), Arc::new(keys));
-    }
-    let saved = vec![save_tensor(&value)];
-    Var::custom(
-        value,
-        "softmax_annotated",
-        vec![x.clone()],
-        saved,
-        Box::new(|g, s| {
-            // Identical to softmax backward: dx = s ⊙ (g − rowsum(g ⊙ s)).
-            let gs = t::mul(g, &s[0]);
-            let k = *gs.shape().last().expect("rank >= 1");
-            let rows = gs.numel() / k;
-            let row_sums = t::sum_axis(&gs.reshape(&[rows, k]), 1).reshape(&[rows, 1]);
-            let g2 = g.reshape(&[rows, k]);
-            let dx = t::mul(&s[0].reshape(&[rows, k]), &t::sub(&g2, &row_sums));
-            vec![Some(dx.reshape(s[0].shape()))]
-        }),
-    )
-}
-
 /// Centroid initialization strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DkmInit {
@@ -145,8 +118,8 @@ pub struct DkmOutput {
     pub iterations_run: usize,
 }
 
-/// The detached Lloyd iterations of one weight, computed over its
-/// *distinct* rows.
+/// The Lloyd iterations of one weight — the detached ones and the forward
+/// of the final, differentiable one — computed over its *distinct* rows.
 ///
 /// Rows with equal 16-bit patterns have identical attention rows (the fact
 /// uniquification rests on), so each step computes one softmax row — and
@@ -162,6 +135,8 @@ struct Lloyd<'a> {
     /// `[u, d]` distinct rows in first-occurrence order (all `n` rows when
     /// the weight is not deduplicated).
     rows: Cow<'a, [f32]>,
+    /// `rows` [`widen`]ed.
+    rows64: Vec<f64>,
     /// Weight row → distinct row; `None` when rows are not deduplicated.
     ids: Option<Vec<u32>>,
     k: usize,
@@ -196,6 +171,8 @@ impl<'a> Lloyd<'a> {
             }
             None => (Cow::Borrowed(w), None),
         };
+        let mut rows64 = vec![0.0; rows.len()];
+        widen(&rows, &mut rows64);
         let n = w.len() / d;
         // Split the accumulation by centroid only where the dense kernels
         // go parallel; a centroid's sums never straddle two workers, so the
@@ -210,6 +187,7 @@ impl<'a> Lloyd<'a> {
             acc: vec![0.0; k * (d + 1)],
             w,
             rows,
+            rows64,
             ids,
             k,
             d,
@@ -222,12 +200,27 @@ impl<'a> Lloyd<'a> {
     /// One Lloyd update: the centroids `c` attend over the weight and
     /// `c_new` receives the attention-weighted means.
     fn step(&mut self, c: &[f32], c_new: &mut [f32]) {
+        self.attend(c);
+        let (num, den) = self.sums();
+        for ((o, nj), &dj) in c_new.chunks_mut(self.d).zip(num.chunks(self.d)).zip(&den) {
+            for (o, &v) in o.iter_mut().zip(nj) {
+                *o = v / dj;
+            }
+        }
+    }
+
+    /// The attention terms of every distinct row for centroids `c`, and
+    /// their sums `Σ a·w` / `Σ a` over the weight rows.
+    fn attend(&mut self, c: &[f32]) {
         let (k, d, scale) = (self.k, self.d, self.scale);
         let n = self.w.len() / d;
         charge_dense_step(n, k, d, self.device);
 
-        let rows = &self.rows;
-        let fill = |r: usize, out: &mut [f32]| row_terms(&rows[r * d..(r + 1) * d], c, scale, out);
+        let (rows, rows64) = (&self.rows, &self.rows64);
+        let fill = |r: usize, out: &mut [f32]| {
+            let span = r * d..(r + 1) * d;
+            row_terms(&rows[span.clone()], &rows64[span], c, scale, out);
+        };
         let (u, stride) = (rows.len() / d, k * (d + 1));
         if u * k * d >= t::PAR_WORK_THRESHOLD && u > 1 {
             self.terms
@@ -249,18 +242,65 @@ impl<'a> Lloyd<'a> {
         } else {
             accumulate(terms, ids, n, k, d, 0, &mut self.acc);
         }
+    }
 
-        for (b, block) in self.acc.chunks(per * (d + 1)).enumerate() {
-            let (num, den) = block.split_at(block.len() / (d + 1) * d);
-            let out = &mut c_new[b * per * d..][..num.len()];
-            for ((o, nj), &dj) in out.chunks_mut(d).zip(num.chunks(d)).zip(den) {
-                // `add_scalar(ΣA, 1e-8)` then `div`, as the dense chain does.
-                let den = dj + 1e-8;
-                for (o, &v) in o.iter_mut().zip(nj) {
-                    *o = v / den;
+    /// The last step's `[k, d]` numerators `Σ a·w` and `[k]` denominators
+    /// `ΣA + ε` (`add_scalar(ΣA, 1e-8)`, as the dense chain computes them).
+    fn sums(&self) -> (Vec<f32>, Vec<f32>) {
+        let d = self.d;
+        let mut num = Vec::with_capacity(self.k * d);
+        let mut den = Vec::with_capacity(self.k);
+        for block in self.acc.chunks(self.per_block * (d + 1)) {
+            let (nb, db) = block.split_at(block.len() / (d + 1) * d);
+            num.extend_from_slice(nb);
+            den.extend(db.iter().map(|&v| v + 1e-8));
+        }
+        (num, den)
+    }
+
+    /// Distinct row of weight row `i`.
+    fn row_of(&self, i: usize) -> usize {
+        self.ids.as_ref().map_or(i, |ids| ids[i] as usize)
+    }
+
+    /// The last step's attention map `A` as dense `[n, k]` rows, scattered
+    /// from the distinct rows.
+    fn attention(&self) -> Vec<f32> {
+        let (k, stride) = (self.k, self.k * (self.d + 1));
+        let n = self.w.len() / self.d;
+        let mut a = vec![0.0f32; n * k];
+        for (i, out) in a.chunks_exact_mut(k).enumerate() {
+            out.copy_from_slice(&self.terms[self.row_of(i) * stride + k * self.d..][..k]);
+        }
+        a
+    }
+
+    /// The soft weights `A·C*` as `[n, d]` rows: one attention-weighted
+    /// centroid mix per distinct row (`matmul`'s ascending-`j` sum), then
+    /// scattered.
+    fn soft(&self, c_star: &[f32]) -> Vec<f32> {
+        let (k, d, stride) = (self.k, self.d, self.k * (self.d + 1));
+        let u = self.rows.len() / d;
+        let mut c64 = vec![0.0; k * d];
+        widen(c_star, &mut c64);
+        let mut mixed = vec![0.0f32; u * d];
+        for (r, out) in mixed.chunks_exact_mut(d).enumerate() {
+            let a = &self.terms[r * stride + k * d..][..k];
+            for (&aj, cj) in a.iter().zip(c64.chunks_exact(d)) {
+                for (o, &cv) in out.iter_mut().zip(cj) {
+                    *o += mul(aj, cv);
                 }
             }
         }
+        if self.ids.is_none() {
+            return mixed;
+        }
+        let n = self.w.len() / d;
+        let mut soft = vec![0.0f32; n * d];
+        for (i, out) in soft.chunks_exact_mut(d).enumerate() {
+            out.copy_from_slice(&mixed[self.row_of(i) * d..][..d]);
+        }
+        soft
     }
 
     /// Quantile-midpoint centroids from the sorted distinct values and their
@@ -325,11 +365,36 @@ fn charge_dense_step(n: usize, k: usize, d: usize, device: Device) {
     runtime::record_compute((k * d) as f64, device);
 }
 
+/// `f32` values as `f64`s the optimizer cannot tell came from `f32`s.
+///
+/// On x86 an `f32` multiply with a subnormal operand or result takes a
+/// microcode assist (~60 ns), and a sharp attention map holds many tiny
+/// values: about 4% of its entries are subnormal in `train-edkm`. The exact
+/// `f64` product of two `f32`s rounded once to `f32` ([`mul`]) is the same
+/// number as the `f32` product, and neither the `f64` multiply nor the
+/// conversions take an assist. One factor must be opaque, though: when both
+/// are visibly widened `f32`s the compiler narrows the product back into an
+/// `f32` multiply.
+fn widen(src: &[f32], dst: &mut [f64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = f64::from(s);
+    }
+    std::hint::black_box(dst);
+}
+
+/// `x · y` for an `f32` `y` that [`widen`] (or [`std::hint::black_box`])
+/// turned into an `f64`: bit-identical to the `f32` product.
+#[inline(always)]
+fn mul(x: f32, y: f64) -> f32 {
+    (f64::from(x) * y) as f32
+}
+
 /// One distinct row's terms: the softmax over `-‖row − c_j‖² · scale` for
 /// every centroid `j` (with the operation order of `neg_sqdist`,
 /// `mul_scalar` and `softmax_lastdim`) into the last `k` slots of `out`,
-/// and the products `a_j · row` into the first `k · d`.
-fn row_terms(row: &[f32], c: &[f32], scale: f32, out: &mut [f32]) {
+/// and the products `a_j · row` into the first `k · d`. `row64` is `row`
+/// [`widen`]ed.
+fn row_terms(row: &[f32], row64: &[f64], c: &[f32], scale: f32, out: &mut [f32]) {
     let (prods, out) = out.split_at_mut(out.len() / (row.len() + 1) * row.len());
     for (o, cj) in out.iter_mut().zip(c.chunks_exact(row.len())) {
         let mut acc = 0.0f32;
@@ -345,13 +410,13 @@ fn row_terms(row: &[f32], c: &[f32], scale: f32, out: &mut [f32]) {
         *o = (*o - mx).exp();
         sum += *o;
     }
-    let inv = 1.0 / sum;
+    let inv = std::hint::black_box(f64::from(1.0 / sum));
     for o in out.iter_mut() {
-        *o *= inv;
+        *o = mul(*o, inv);
     }
     for (p, &a) in prods.chunks_exact_mut(row.len()).zip(out.iter()) {
-        for (p, &wv) in p.iter_mut().zip(row) {
-            *p = a * wv;
+        for (p, &wv) in p.iter_mut().zip(row64) {
+            *p = mul(a, wv);
         }
     }
 }
@@ -412,6 +477,311 @@ fn distinct_rows(w: &[f32], keys: &[u64], d: usize) -> (Vec<f32>, Vec<u32>) {
             .collect()
     };
     (rows, ids)
+}
+
+/// The final, differentiable DKM iteration as one autograd node: soft
+/// weights `A·C*` (`[n, d]`) and the centroids `C* = Aᵀ·W / (ΣA + ε)` for
+/// the centroids `c`, where `A` attends the rows of `w2` (`lloyd`'s weight)
+/// over `c`.
+///
+/// The node stands for the dense tape chain `neg_sqdist → mul_scalar →
+/// softmax → Aᵀ·W → sum_axis → add_scalar → div → A·C*` and reproduces it
+/// bit for bit: the forward is one more [`Lloyd`] step over the distinct
+/// rows, the backward one pass over the `k` centroids and one fused pass
+/// per weight row (see [`iteration_backward`]). It saves the tensors the
+/// chain saved — `w2`, `c`, `A` (annotated with `keys` first), `Aᵀ`, `w2`,
+/// `num`, `den`, `A`, `C*`, in that order — and hands them back in the
+/// order the chain's backward unpacked them, so the saved-tensor hooks see
+/// the same pack and unpack streams. The simulated clock is charged the
+/// chain's ops, forward and backward.
+fn dkm_iteration(
+    w2: &Var,
+    lloyd: &mut Lloyd<'_>,
+    c: &[f32],
+    keys: Option<RowKeys>,
+) -> (Var, Tensor) {
+    let (k, d, scale, device) = (lloyd.k, lloyd.d, lloyd.scale, lloyd.device);
+    let n = lloyd.w.len() / d;
+    let mut c_star = vec![0.0f32; k * d];
+    lloyd.step(c, &mut c_star);
+    let (num, den) = lloyd.sums();
+    let soft = lloyd.soft(&c_star);
+    runtime::record_compute(2.0 * n as f64 * d as f64 * k as f64, device); // A·C*
+
+    let tensor =
+        |data: Vec<f32>, shape: &[usize]| Tensor::from_vec(data, shape, DType::F32, device);
+    let a = tensor(lloyd.attention(), &[n, k]);
+    if let Some(keys) = keys {
+        uniquify::annotate(a.storage_id(), Arc::new(keys));
+    }
+    let c_star = tensor(c_star, &[k, d]);
+    let w_saved = save_tensor(w2.value());
+    let c_saved = save_tensor(&tensor(c.to_vec(), &[k, d]));
+    let a_saved = save_tensor(&a);
+    let at_saved = save_tensor(&a.t());
+    let w_again = save_tensor(w2.value());
+    let num_saved = save_tensor(&tensor(num, &[k, d]));
+    let den_saved = save_tensor(&tensor(den, &[k, 1]));
+    let a_again = save_tensor(&a);
+    let c_star_saved = save_tensor(&c_star);
+    // The chain's backward unpacked `A·C*`'s saves first, `neg_sqdist`'s
+    // last.
+    let saved = vec![
+        a_again,
+        c_star_saved,
+        num_saved,
+        den_saved,
+        at_saved,
+        w_again,
+        a_saved,
+        w_saved,
+        c_saved,
+    ];
+    let soft = Var::custom(
+        tensor(soft, &[n, d]),
+        "dkm_iteration",
+        vec![w2.clone()],
+        saved,
+        Box::new(move |g, s| vec![Some(iteration_backward(g, s, scale))]),
+    );
+    (soft, c_star)
+}
+
+/// Charge the simulated clock what the dense chain's backward costs, op by
+/// op in the order the tape ran them, gradient accumulations included.
+fn charge_dense_backward(n: usize, k: usize, d: usize, device: Device) {
+    let (nk, nd, kd) = ((n * k) as f64, (n * d) as f64, (k * d) as f64);
+    let mm = 2.0 * nk * d as f64;
+    let charge = |ops: &[f64]| {
+        for &flops in ops {
+            runtime::record_compute(flops, device);
+        }
+    };
+    // A·C*: dA = G·C*ᵀ and dC* = Aᵀ·G.
+    charge(&[mm, mm]);
+    // div: dnum = dC* / den, then dden = −dC*·num / (den·den), summed over
+    // the d columns when there is more than one.
+    charge(&[kd, k as f64, kd, kd, kd]);
+    if d != 1 {
+        charge(&[kd]);
+    }
+    // Aᵀ·W: dAᵀ = dnum·Wᵀ and dW = A·dnum, then dA += dAᵀᵀ.
+    charge(&[mm, mm, nk]);
+    // sum_axis: dden broadcast to [n, k], then dA += it.
+    charge(&[nk, nk]);
+    // softmax (g·s, row sums, g − rowsum, s·…), then mul_scalar.
+    charge(&[nk, nk, nk, nk, nk]);
+    // neg_sqdist: dW = −2 (rowsum(g)·w − g·c), then the discarded
+    // dc = 2 (gᵀ·w − colsum(g)·c).
+    charge(&[nk, nd, mm, nd, nd]);
+    charge(&[nk, mm, kd, kd, kd]);
+    // dW += the neg_sqdist term (the two uses of `w2`).
+    charge(&[nd]);
+}
+
+/// The dense chain's VJP for `w2`, fused: `dC* = Aᵀ·G` summed over the rows
+/// in order (split across workers by centroid block, like [`accumulate`]),
+/// `dnum`/`dden` from it, then one independent pass per weight row that
+/// adds `dA`'s three contributions in the tape's order, applies the
+/// softmax VJP, the logit scale and the `neg_sqdist` VJP, and adds the
+/// `A·dnum` term. Every sum runs in the tape's order, so the result equals
+/// the tape bit for bit, and no `[n, k]` temporary is allocated. `saved`
+/// are [`dkm_iteration`]'s saves in unpack order.
+fn iteration_backward(g: &Tensor, saved: &[Tensor], scale: f32) -> Tensor {
+    let [a, c_star, num, den, _, w, _, _, c] = saved else {
+        unreachable!("dkm_iteration saves nine tensors")
+    };
+    let [n, d] = [w.shape()[0], w.shape()[1]];
+    let k = c.shape()[0];
+    let device = g.device();
+    charge_dense_backward(n, k, d, device);
+    let (c, num, den, c_star) = (c.to_vec(), num.to_vec(), den.to_vec(), c_star.to_vec());
+    let par = n * k * d >= t::PAR_WORK_THRESHOLD;
+
+    let mut d_c_star = vec![0.0f32; k * d];
+    g.with_data(|g| {
+        a.with_data(|a| {
+            let per = if par && k > 1 {
+                k.div_ceil(rayon::current_num_threads())
+            } else {
+                k
+            };
+            let block = |j0: usize, out: &mut [f32]| {
+                // Summed as `[d, jn]` so the centroids of one row run in
+                // lanes, then written back as `[jn, d]`.
+                let jn = out.len() / d;
+                let (mut sums, mut g64) = (vec![0.0f32; d * jn], vec![0.0; d]);
+                for (ar, gr) in a.chunks_exact(k).zip(g.chunks_exact(d)) {
+                    widen(gr, &mut g64);
+                    for (sums, &gv) in sums.chunks_exact_mut(jn).zip(&g64) {
+                        for (o, &av) in sums.iter_mut().zip(&ar[j0..j0 + jn]) {
+                            *o += mul(av, gv);
+                        }
+                    }
+                }
+                for (jj, o) in out.chunks_exact_mut(d).enumerate() {
+                    for (p, o) in o.iter_mut().enumerate() {
+                        *o = sums[p * jn + jj];
+                    }
+                }
+            };
+            if per < k {
+                d_c_star
+                    .par_chunks_mut(per * d)
+                    .enumerate()
+                    .for_each(|(b, out)| block(b * per, out));
+            } else {
+                block(0, &mut d_c_star);
+            }
+        })
+    });
+
+    // `div`'s VJP: dnum = dC* / den, dden = Σ_d −(dC*·num / (den·den)).
+    let d_num: Vec<f32> = d_c_star
+        .chunks_exact(d)
+        .zip(&den)
+        .flat_map(|(row, &dj)| row.iter().map(move |&v| v / dj))
+        .collect();
+    let d_den: Vec<f32> = d_c_star
+        .chunks_exact(d)
+        .zip(num.chunks_exact(d))
+        .zip(&den)
+        .map(|((gr, nr), &dj)| {
+            let b2 = dj * dj;
+            let mut terms = gr.iter().zip(nr).map(|(&gv, &nv)| -(gv * nv / b2));
+            if d == 1 {
+                // No reduction over a size-1 axis: the term as is.
+                terms.next().expect("d = 1")
+            } else {
+                terms.fold(0.0, |acc, v| acc + v)
+            }
+        })
+        .collect();
+
+    let (mut c64, mut d_num64) = (vec![0.0; k * d], vec![0.0; k * d]);
+    widen(&c, &mut c64);
+    widen(&d_num, &mut d_num64);
+    let row_pass = RowPass {
+        k,
+        d,
+        c_star: &c_star,
+        d_num: &d_num,
+        d_den: &d_den,
+        c64: &c64,
+        d_num64: &d_num64,
+        scale64: std::hint::black_box(f64::from(scale)),
+    };
+    let mut dw = vec![0.0f32; n * d];
+    g.with_data(|g| {
+        w.with_data(|w| {
+            a.with_data(|a| {
+                if par && n > 1 {
+                    let per = n.div_ceil(rayon::current_num_threads());
+                    dw.par_chunks_mut(per * d)
+                        .enumerate()
+                        .for_each(|(b, out)| row_pass.run(g, w, a, b * per, out));
+                } else {
+                    row_pass.run(g, w, a, 0, &mut dw);
+                }
+            })
+        })
+    });
+    Tensor::from_vec(dw, &[n, d], DType::F32, device)
+}
+
+/// Weight rows the per-row pass of [`iteration_backward`] carries side by
+/// side, one per SIMD lane. Each lane runs its own row's operations in the
+/// tape's order, so the lanes change nothing but the speed.
+const LANES: usize = 8;
+
+/// The per-row pass of [`iteration_backward`]: everything it reads besides
+/// `G`, `W` and `A`.
+struct RowPass<'a> {
+    k: usize,
+    d: usize,
+    c_star: &'a [f32],
+    d_num: &'a [f32],
+    d_den: &'a [f32],
+    /// `c` [`widen`]ed.
+    c64: &'a [f64],
+    /// `d_num` [`widen`]ed.
+    d_num64: &'a [f64],
+    /// The logit scale, opaque like a [`widen`]ed value.
+    scale64: f64,
+}
+
+impl RowPass<'_> {
+    /// `dW` rows `i0..` into `out` (`[rows, d]`), from the `[n, d]` upstream
+    /// gradient `g`, weight `w` and `[n, k]` attention map `a`.
+    fn run(&self, g: &[f32], w: &[f32], a: &[f32], i0: usize, out: &mut [f32]) {
+        let (k, d) = (self.k, self.d);
+        // Lane-major copies of one block of rows: `[j][lane]` and `[p][lane]`.
+        let mut a64 = vec![[0.0f64; LANES]; k];
+        let (mut gl, mut wl) = (vec![[0.0f32; LANES]; d], vec![[0.0f32; LANES]; d]);
+        let (mut da, mut dl) = (vec![[0.0f32; LANES]; k], vec![[0.0f32; LANES]; k]);
+        for (b, out) in out.chunks_mut(LANES * d).enumerate() {
+            let (i, lanes) = (i0 + b * LANES, out.len() / d);
+            for l in 0..LANES {
+                // Lanes past the last row compute on zeros and are dropped.
+                let row = (l < lanes).then_some(i + l);
+                for (j, x) in a64.iter_mut().enumerate() {
+                    x[l] = row.map_or(0.0, |i| f64::from(a[i * k + j]));
+                }
+                for (p, (gx, wx)) in gl.iter_mut().zip(&mut wl).enumerate() {
+                    gx[l] = row.map_or(0.0, |i| g[i * d + p]);
+                    wx[l] = row.map_or(0.0, |i| w[i * d + p]);
+                }
+            }
+            std::hint::black_box(&mut a64); // see `widen`
+
+            // dA = G·C*ᵀ + dnum·Wᵀ + dden, added in that order.
+            for (j, da) in da.iter_mut().enumerate() {
+                let (mut from_soft, mut from_num) = ([0.0f32; LANES], [0.0f32; LANES]);
+                for p in 0..d {
+                    let (cv, nv) = (self.c_star[j * d + p], self.d_num[j * d + p]);
+                    for l in 0..LANES {
+                        from_soft[l] += gl[p][l] * cv;
+                        from_num[l] += nv * wl[p][l];
+                    }
+                }
+                for l in 0..LANES {
+                    da[l] = from_soft[l] + from_num[l] + self.d_den[j];
+                }
+            }
+            // Softmax VJP, then the logit scale.
+            let mut row_sum = [0.0f32; LANES];
+            for (dv, av) in da.iter().zip(&a64) {
+                for l in 0..LANES {
+                    row_sum[l] += mul(dv[l], av[l]);
+                }
+            }
+            for ((dl, dv), av) in dl.iter_mut().zip(&da).zip(&a64) {
+                for l in 0..LANES {
+                    dl[l] = mul(mul(dv[l] - row_sum[l], av[l]), self.scale64);
+                }
+            }
+            // neg_sqdist's VJP, plus the A·dnum term of Aᵀ·W's.
+            let mut logit_sum = [0.0f32; LANES];
+            for dl in &dl {
+                for l in 0..LANES {
+                    logit_sum[l] += dl[l];
+                }
+            }
+            for p in 0..d {
+                let (mut gc, mut from_a) = ([0.0f32; LANES], [0.0f32; LANES]);
+                for (j, (dl, av)) in dl.iter().zip(&a64).enumerate() {
+                    let (cv, nv) = (self.c64[j * d + p], self.d_num64[j * d + p]);
+                    for l in 0..LANES {
+                        gc[l] += mul(dl[l], cv);
+                        from_a[l] += (av[l] * nv) as f32;
+                    }
+                }
+                for (l, o) in out.chunks_exact_mut(d).enumerate() {
+                    o[p] = from_a[l] + (logit_sum[l] * wl[p][l] - gc[l]) * -2.0;
+                }
+            }
+        }
+    }
 }
 
 /// The train-time weight clustering layer.
@@ -582,31 +952,22 @@ impl DkmLayer {
     pub fn cluster(&self, w: &Var) -> DkmOutput {
         let shape = w.value().shape().to_vec();
         let [n, d] = self.rows_shape(w.value().numel());
-        let k = self.config.k();
 
         let w2 = w.reshape(&[n, d]);
         let wt = w2.value();
         let keys = self.row_keys(wt);
         let data = wt.to_vec();
         let scale = self.logit_scale(&data);
-        let (_, c, iterations_run) = self.lloyd(&data, keys.as_ref(), scale, wt.device());
+        let (mut lloyd, c, iterations_run) = self.lloyd(&data, keys.as_ref(), scale, wt.device());
 
         // Final differentiable iteration: attention map + centroid update +
-        // soft assignment, all on the tape. The attention map is annotated
-        // with the weights' bit patterns (when 16-bit) so the hooks can
-        // uniquify every save of it.
-        let c_const = Var::constant(Tensor::from_vec(c, &[k, d], DType::F32, wt.device()));
-        let logits = w2.neg_sqdist(&c_const).mul_scalar(scale);
-        let a = softmax_annotated(&logits, keys); // the big [n, k] attention map
-
-        let num = a.t().matmul(&w2); // [k, d] — saves Aᵀ (a view of A)
-        let den = a.sum_axis(0).reshape(&[k, 1]).add_scalar(1e-8);
-        let c_star = num.div(&den);
-        let soft = a.matmul(&c_star).reshape(&shape); // saves A again
-
+        // soft assignment as one node. The attention map is annotated with
+        // the weights' bit patterns (when 16-bit) so the hooks can uniquify
+        // every save of it.
+        let (soft, centroids) = dkm_iteration(&w2, &mut lloyd, &c, keys);
         DkmOutput {
-            centroids: c_star.value().clone(),
-            soft,
+            soft: soft.reshape(&shape),
+            centroids,
             iterations_run,
         }
     }
@@ -766,51 +1127,24 @@ mod tests {
     fn gradcheck_final_differentiable_iteration() {
         // The full layer is not numerically checkable (the Lloyd iterations
         // and quantile init are detached by design, exactly as in DKM), so
-        // we check the differentiable part in isolation: attention map →
-        // centroid update → soft assignment, against *fixed* centroids.
+        // we check the fused differentiable iteration in isolation:
+        // attention map → centroid update → soft assignment, against
+        // *fixed* centroids.
         runtime::reset();
         let w = Tensor::randn(&[12, 1], DType::F32, Device::Cpu, 3);
-        let c = Tensor::from_vec(vec![-1.0, -0.2, 0.4, 1.2], &[4, 1], DType::F32, Device::Cpu);
+        let c = [-1.0, -0.2, 0.4, 1.2];
         check_gradients(
             |vs| {
-                let c_const = Var::constant(c.clone());
-                let a = vs[0].neg_sqdist(&c_const).mul_scalar(2.0).softmax_lastdim();
-                let num = a.t().matmul(&vs[0]);
-                let den = a.sum_axis(0).reshape(&[4, 1]).add_scalar(1e-8);
-                a.matmul(&num.div(&den)).square().sum_all()
+                let data = vs[0].value().to_vec();
+                let mut lloyd = Lloyd::new(&data, None, 4, 1, 2.0, Device::Cpu);
+                let (soft, _) = dkm_iteration(&vs[0], &mut lloyd, &c, None);
+                soft.square().sum_all()
             },
             &[w],
             1e-3,
             5e-2,
         )
         .unwrap();
-    }
-
-    #[test]
-    fn annotated_softmax_matches_plain_softmax_gradients() {
-        runtime::reset();
-        let x = Tensor::randn(&[6, 4], DType::F32, Device::Cpu, 9);
-        let weight = Tensor::randn(&[6, 4], DType::F32, Device::Cpu, 10);
-        // Values equal.
-        let a = super::softmax_annotated(&Var::constant(x.clone()), None);
-        let b = Var::constant(x.clone()).softmax_lastdim();
-        assert!(t::allclose(a.value(), b.value(), 1e-7));
-        // Gradients equal.
-        let grad_of = |annotated: bool| -> Vec<f32> {
-            let v = Var::param(x.clone());
-            let s = if annotated {
-                super::softmax_annotated(&v, None)
-            } else {
-                v.softmax_lastdim()
-            };
-            s.mul(&Var::constant(weight.clone())).sum_all().backward();
-            v.grad().unwrap().to_vec()
-        };
-        let ga = grad_of(true);
-        let gb = grad_of(false);
-        for (x, y) in ga.iter().zip(&gb) {
-            assert!((x - y).abs() < 1e-6);
-        }
     }
 
     #[test]
@@ -1135,6 +1469,120 @@ mod tests {
                 && init.iter().any(|v| v.to_bits() == 0),
             "both zero signs must be picked: {init:?}"
         );
+    }
+
+    /// The dense tape chain the fused `dkm_iteration` node replaces: the
+    /// same Lloyd loop, then `neg_sqdist → mul_scalar → softmax → Aᵀ·W /
+    /// (ΣA + ε) → A·C*` as separate autograd ops.
+    fn reference_cluster(lay: &DkmLayer, w: &Var) -> DkmOutput {
+        let shape = w.value().shape().to_vec();
+        let [n, d] = lay.rows_shape(w.value().numel());
+        let k = lay.config().k();
+        let w2 = w.reshape(&[n, d]);
+        let wt = w2.value();
+        let keys = lay.row_keys(wt);
+        let data = wt.to_vec();
+        let scale = lay.logit_scale(&data);
+        let (_, c, iterations_run) = lay.lloyd(&data, keys.as_ref(), scale, wt.device());
+        let c_const = Var::constant(Tensor::from_vec(c, &[k, d], DType::F32, wt.device()));
+        let a = w2.neg_sqdist(&c_const).mul_scalar(scale).softmax_lastdim();
+        let num = a.t().matmul(&w2);
+        let den = a.sum_axis(0).reshape(&[k, 1]).add_scalar(1e-8);
+        let c_star = num.div(&den);
+        DkmOutput {
+            centroids: c_star.value().clone(),
+            soft: a.matmul(&c_star).reshape(&shape),
+            iterations_run,
+        }
+    }
+
+    /// Saved-tensor hooks that keep tensors inline and log every pack and
+    /// unpack with the tensor's shape and dtype.
+    #[derive(Default)]
+    struct Recording(std::sync::Mutex<Vec<(&'static str, Vec<usize>, DType)>>);
+
+    impl edkm_autograd::SavedTensorHooks for Recording {
+        fn pack(&self, t: &Tensor) -> edkm_autograd::PackedTensor {
+            let mut log = self.0.lock().unwrap();
+            log.push(("pack", t.shape().to_vec(), t.dtype()));
+            edkm_autograd::PackedTensor::Inline(t.clone())
+        }
+        fn unpack(&self, p: &edkm_autograd::PackedTensor) -> Tensor {
+            let edkm_autograd::PackedTensor::Inline(t) = p else {
+                unreachable!("Recording packs inline")
+            };
+            let mut log = self.0.lock().unwrap();
+            log.push(("unpack", t.shape().to_vec(), t.dtype()));
+            t.clone()
+        }
+    }
+
+    /// `cluster` on `w` equals the dense tape bit for bit — soft weights,
+    /// centroids, the weight gradient for a random upstream gradient, and
+    /// the simulated seconds of forward plus backward — and hands
+    /// saved-tensor hooks the same packs and unpacks in the same order.
+    fn assert_iteration_matches_the_tape(lay: &DkmLayer, w: &Tensor, what: &str) {
+        let upstream = Tensor::randn(w.shape(), DType::F32, w.device(), 41);
+        let run = |cluster: &dyn Fn(&Var) -> DkmOutput| {
+            let w = Var::param(w.clone());
+            let out = cluster(&w);
+            out.soft.backward_with(upstream.clone());
+            let grad = w.grad().expect("the weight receives a gradient");
+            (
+                bits(&out.soft.value().to_vec()),
+                bits(&out.centroids.to_vec()),
+                bits(&grad.to_vec()),
+            )
+        };
+        let fused = |w: &Var| lay.cluster(w);
+        let tape = |w: &Var| reference_cluster(lay, w);
+        let ((want_soft, want_c, want_grad), want_s) = charged(|| run(&tape));
+        let ((got_soft, got_c, got_grad), got_s) = charged(|| run(&fused));
+        assert_eq!(got_soft, want_soft, "{what}: soft weights");
+        assert_eq!(got_c, want_c, "{what}: centroids");
+        assert_eq!(got_grad, want_grad, "{what}: weight gradient");
+        assert_eq!(got_s, want_s, "{what}: simulated seconds");
+
+        let log = |cluster: &dyn Fn(&Var) -> DkmOutput| {
+            let hooks = Arc::new(Recording::default());
+            {
+                let _g = edkm_autograd::push_hooks(hooks.clone());
+                run(cluster);
+            }
+            let log = hooks.0.lock().unwrap().clone();
+            log
+        };
+        let want = log(&tape);
+        assert_eq!(want.len(), 18, "{what}: the tape saves nine tensors");
+        assert_eq!(log(&fused), want, "{what}: pack/unpack stream");
+        uniquify::clear_annotations();
+    }
+
+    #[test]
+    fn fused_iteration_matches_the_dense_tape_bit_for_bit() {
+        for dtype in [DType::Bf16, DType::F16, DType::F32] {
+            let w = Tensor::randn(&[48, 32], dtype, Device::gpu(), 34).map(|v| v * 0.02);
+            for dim in [1, 2, 4] {
+                let lay = DkmLayer::new(DkmConfig::with_vector(3, dim));
+                assert_iteration_matches_the_tape(&lay, &w, &format!("{dtype:?} d={dim}"));
+            }
+        }
+    }
+
+    #[test]
+    fn fused_iteration_matches_when_split_across_workers() {
+        // 2^14 rows × 8 centroids reach the parallel threshold: `dC*` splits
+        // by centroid block and the per-row pass by row block.
+        const { assert!((1 << 14) * 8 >= t::PAR_WORK_THRESHOLD) };
+        for dtype in [DType::Bf16, DType::F16, DType::F32] {
+            for dim in [1, 2, 4] {
+                let w =
+                    Tensor::randn(&[128, 128 * dim], dtype, Device::gpu(), 35).map(|v| v * 0.02);
+                let lay = DkmLayer::new(DkmConfig::with_vector(3, dim));
+                let what = format!("{dtype:?} d={dim} 2^14 rows");
+                assert_iteration_matches_the_tape(&lay, &w, &what);
+            }
+        }
     }
 
     #[test]

@@ -60,9 +60,80 @@ fn parse_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T 
 
 /// Reject a malformed flag value: name it, print usage, exit 2.
 fn malformed(name: &str, text: &str) -> ! {
-    eprintln!("{name} cannot parse {text:?}\n");
+    refuse(&format!("{name} cannot parse {text:?}"))
+}
+
+/// Print `why` and usage, exit 2.
+fn refuse(why: &str) -> ! {
+    eprintln!("{why}\n");
     usage();
     std::process::exit(2)
+}
+
+/// `bits` if it is a palette width (`1..=8`: `k = 2^bits` centroids);
+/// otherwise name `--bits`, print usage and exit 2.
+fn palette_bits(bits: u8) -> u8 {
+    if !(1..=8).contains(&bits) {
+        refuse(&format!("--bits {bits} is out of range (1..=8)"));
+    }
+    bits
+}
+
+/// The flags `command` reads: those that take a value, then switches.
+fn known_flags(command: &str) -> (&'static [&'static str], &'static [&'static str]) {
+    match command {
+        "compress" | "inspect" => (
+            &["--bits", "--dim", "--epochs", "--learners", "--group-rows"],
+            &[],
+        ),
+        "sweep" => (&["--bits", "--dim"], &[]),
+        "ablate" => (&["--d-model", "--learners"], &[]),
+        "serve" => (
+            &[
+                "--bits",
+                "--batch",
+                "--requests",
+                "--new",
+                "--temp",
+                "--replicas",
+                "--kv-block-tokens",
+                "--kv-blocks",
+                "--draft-bits",
+                "--draft-k",
+                "--backend",
+                "--chaos-seed",
+                "--chaos-profile",
+            ],
+            &["--affinity", "--prefix-cache"],
+        ),
+        "bench workload" => (&["--trace", "--seed", "--requests", "--batch"], &[]),
+        _ => (&[], &[]),
+    }
+}
+
+/// Refuse an argument `command` does not read (a misspelled or removed
+/// flag would otherwise run with defaults): name it, print usage, exit 2.
+fn reject_unknown(command: &str, args: &[String]) {
+    let (valued, switches) = known_flags(command);
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let (name, inline_value) = match arg.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (arg.as_str(), false),
+        };
+        if valued.contains(&name) {
+            if !inline_value {
+                rest.next(); // the value
+            }
+        } else if !switches.contains(&name) || inline_value {
+            let what = if arg.starts_with("--") {
+                "flag"
+            } else {
+                "argument"
+            };
+            refuse(&format!("edkm {command}: unknown {what} {name}"));
+        }
+    }
 }
 
 fn usage() {
@@ -186,7 +257,7 @@ impl Workbench {
 }
 
 fn spec_from_flags(args: &[String]) -> CompressSpec {
-    let bits: u8 = parse_or(args, "--bits", 3);
+    let bits = palette_bits(parse_or(args, "--bits", 3));
     let dim: usize = parse_or(args, "--dim", 1);
     let mut spec = if dim > 1 {
         CompressSpec::vector(bits, dim)
@@ -247,9 +318,11 @@ fn cmd_sweep(args: &[String]) {
     let bits_list: Vec<u8> = bits_text
         .split(',')
         .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| malformed("--bits", &bits_text))
+            palette_bits(
+                s.trim()
+                    .parse()
+                    .unwrap_or_else(|_| malformed("--bits", &bits_text)),
+            )
         })
         .collect();
     let dim: usize = parse_or(args, "--dim", 1);
@@ -683,7 +756,7 @@ fn serve_with_chaos(
 }
 
 fn cmd_serve(args: &[String]) {
-    let bits: u8 = parse_or(args, "--bits", 3);
+    let bits = palette_bits(parse_or(args, "--bits", 3));
     let max_batch: usize = parse_or(args, "--batch", 4);
     let n_requests: usize = parse_or(args, "--requests", 6);
     let n_new: usize = parse_or(args, "--new", 16);
@@ -926,7 +999,10 @@ fn cmd_bench_workload(args: &[String]) -> ExitCode {
 
 fn cmd_bench(args: &[String]) -> ExitCode {
     match args.first().map(String::as_str) {
-        Some("workload") => cmd_bench_workload(&args[1..]),
+        Some("workload") => {
+            reject_unknown("bench workload", &args[1..]);
+            cmd_bench_workload(&args[1..])
+        }
         other => {
             if let Some(other) = other {
                 eprintln!("unknown bench: {other}\n");
@@ -975,6 +1051,11 @@ fn cmd_table1() {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(command @ ("compress" | "sweep" | "inspect" | "ablate" | "serve" | "table1")) =
+        args.first().map(String::as_str)
+    {
+        reject_unknown(command, &args[1..]);
+    }
     match args.first().map(String::as_str) {
         Some("compress") => cmd_compress(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
